@@ -29,6 +29,14 @@ cargo test --workspace -q
 step "cargo test (trace feature)"
 cargo test --workspace -q --features trace
 
+step "process backend"
+# Simulated processes are stackful coroutines switched by hand-written
+# assembly: run the engine and the async executor at opt-level 3 as well,
+# then a panic 5,000 frames deep in a process with backtraces on, which
+# must print and unwind without walking off the coroutine stack.
+cargo test -q --release -p simnet -p emp-async
+RUST_BACKTRACE=1 cargo test -q --release -p simnet --lib panic_deep_in_a_process_is_reported
+
 step "cargo test (lossy suite)"
 # Chaos stage: the substrate robustness suite (seeded fault injection,
 # vanished-peer detection) in both build modes.

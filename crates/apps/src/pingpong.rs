@@ -170,10 +170,9 @@ pub fn connect_times_us(sim: &Sim, tb: &Testbed, iters: u32) -> (f64, f64) {
             let _ = conn.close(ctx);
         }
         // Pair accept times with the recorded connect-call times.
-        let starts = tcc.lock();
         let mean_est: f64 = established
             .iter()
-            .zip(starts.iter())
+            .zip(tcc.lock().iter())
             .map(|(e, s): (&u64, &u64)| (e - s) as f64 / 1000.0)
             .sum::<f64>()
             / iters as f64;

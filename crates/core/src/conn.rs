@@ -174,8 +174,8 @@ impl ProcShared {
                     .values()
                     .filter_map(Weak::upgrade)
                     .collect();
-                // A parked process may hold a socket lock right now; skip
-                // the whole tick rather than publish a partial sum.
+                // Skip the whole tick rather than publish a partial sum if a
+                // socket lock is busy (it should not be: no process parks holding one).
                 let mut total = 0i64;
                 for s in &socks {
                     let i = s.inner.try_lock()?;

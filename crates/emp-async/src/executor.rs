@@ -61,7 +61,7 @@ impl ExecShared {
     }
 
     /// Mark `task` ready and ring the doorbell. Callable from anywhere —
-    /// waker context, spawn, the executor's own thread.
+    /// waker context, spawn, the executor's own process.
     fn enqueue(&self, task: TaskId) {
         {
             let mut r = self.ready.lock();
@@ -122,7 +122,7 @@ struct Inner {
 }
 
 /// A single-threaded executor owned by one simulated process. Tasks are
-/// `!Send` futures; everything runs on the owning process's thread in
+/// `!Send` futures; everything runs inside the owning process in
 /// deterministic wake order.
 pub struct LocalExecutor {
     inner: Rc<Inner>,
@@ -213,10 +213,7 @@ impl LocalExecutor {
         };
         let waker = task.waker.clone();
         let mut cx = Context::from_waker(&waker);
-        let poll = {
-            let _scope = CtxScope::enter(ctx);
-            task.fut.as_mut().poll(&mut cx)
-        };
+        let poll = ctx.scoped(|| task.fut.as_mut().poll(&mut cx));
         match poll {
             Poll::Pending => {
                 self.inner.tasks.borrow_mut().insert(id, task);
@@ -224,8 +221,7 @@ impl LocalExecutor {
             Poll::Ready(()) => {
                 // Drop the future with the context still installed so
                 // drop-guards (cancellation) can reach the stack.
-                let _scope = CtxScope::enter(ctx);
-                drop(task);
+                ctx.scoped(|| drop(task));
                 if let Some(g) = self.inner.tasks_live.borrow().as_ref() {
                     g.sub(1);
                 }
@@ -362,32 +358,6 @@ where
     Ok(handle.try_take().expect("run drained every task"))
 }
 
-thread_local! {
-    /// The process context of the executor currently polling a task on
-    /// this thread (each simulated process is its own OS thread, so this
-    /// nests correctly even with several executors in one simulation).
-    static CTX: Cell<*const ProcessCtx> = const { Cell::new(std::ptr::null()) };
-}
-
-/// Installs a `&ProcessCtx` for the duration of one task poll (or drop),
-/// restoring the previous value on exit.
-struct CtxScope {
-    prev: *const ProcessCtx,
-}
-
-impl CtxScope {
-    fn enter(ctx: &ProcessCtx) -> CtxScope {
-        let prev = CTX.with(|c| c.replace(ctx as *const ProcessCtx));
-        CtxScope { prev }
-    }
-}
-
-impl Drop for CtxScope {
-    fn drop(&mut self) {
-        CTX.with(|c| c.set(self.prev));
-    }
-}
-
 /// The process context of the enclosing executor — how leaf futures reach
 /// the stack's nonblocking calls from inside `Future::poll`. Panics
 /// outside a task poll; use [`try_with_ctx`] from drop guards that may
@@ -396,18 +366,11 @@ pub fn with_ctx<R>(f: impl FnOnce(&ProcessCtx) -> R) -> R {
     try_with_ctx(f).expect("with_ctx outside an executor task")
 }
 
-/// [`with_ctx`], returning `None` when no executor is polling on this
-/// thread (e.g. a future dropped with its executor after `run`).
+/// [`with_ctx`], returning `None` when no executor is polling in this
+/// process (e.g. a future dropped with its executor after `run`). Polls
+/// install the context with [`ProcessCtx::scoped`], which is per process.
 pub fn try_with_ctx<R>(f: impl FnOnce(&ProcessCtx) -> R) -> Option<R> {
-    let p = CTX.with(|c| c.get());
-    if p.is_null() {
-        return None;
-    }
-    // SAFETY: `p` was installed by `CtxScope::enter` from a live
-    // `&ProcessCtx` borrowed for the whole poll/drop call this closure
-    // runs inside, on this same thread, and is cleared when that scope
-    // unwinds — so the reference is valid for the duration of `f`.
-    Some(f(unsafe { &*p }))
+    simnet::process::with_scoped(f)
 }
 
 #[cfg(test)]
@@ -540,5 +503,40 @@ mod tests {
             Ok(())
         });
         sim.run();
+    }
+
+    #[test]
+    fn with_ctx_stays_per_process_when_a_poll_parks() {
+        // Tasks park *inside* a poll (a `delay` under `with_ctx`), so the
+        // other process's executor polls while this one is parked mid-poll.
+        let sim = Sim::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for (name, step) in [("left", 3u64), ("right", 5)] {
+            let seen = Arc::clone(&seen);
+            sim.spawn(name, move |ctx| {
+                let me = ctx.pid();
+                let ex = LocalExecutor::new();
+                for task in 0..2u64 {
+                    let seen = Arc::clone(&seen);
+                    ex.spawn(async move {
+                        for _ in 0..3 {
+                            let inner = with_ctx(|c| {
+                                c.delay(SimDuration::from_nanos(step + task))
+                                    .expect("delay");
+                                with_ctx(|c| c.pid())
+                            });
+                            let outer = with_ctx(|c| c.pid());
+                            seen.lock().extend([(me, inner), (me, outer)]);
+                            yield_now().await;
+                        }
+                    });
+                }
+                ex.run(ctx)
+            });
+        }
+        sim.run();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 2 * 2 * 3 * 2);
+        assert!(seen.iter().all(|(own, got)| own == got), "{seen:?}");
     }
 }

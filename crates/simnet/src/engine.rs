@@ -3,18 +3,20 @@
 //! A [`Sim`] owns a priority queue of events ordered by `(time, sequence)`.
 //! Events are boxed closures executed on the thread that calls [`Sim::run`];
 //! ties in time are broken by scheduling order, which makes every run
-//! deterministic. Simulated *processes* (threads with blocking semantics)
-//! are layered on top in [`crate::process`]; exactly one entity — the event
-//! loop or a single resumed process — executes at any instant, so component
-//! state guarded by [`parking_lot::Mutex`] is never contended.
+//! deterministic. Simulated *processes* (coroutines with blocking
+//! semantics, run on the same thread) are layered on top in
+//! [`crate::process`]; exactly one entity — the event loop or a single
+//! resumed process — executes at any instant, so component state guarded
+//! by [`parking_lot::Mutex`] is never contended.
 //!
 //! Ownership discipline (important, see `DESIGN.md` §6): components must
 //! **not** store `Sim` handles. Every component method takes a
 //! `&dyn SimAccess` argument; events receive `&Sim`. This keeps the `Sim` the
 //! unique strong owner of the engine, so dropping it deterministically
-//! terminates all parked process threads.
+//! terminates all parked processes.
 
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -58,7 +60,7 @@ pub(crate) struct SimCore {
     executed: u64,
 }
 
-/// Engine state shared between the event loop and process threads.
+/// Engine state shared between the event loop, processes and wakers.
 ///
 /// This type has no public API of its own; use it through [`SimAccess`].
 pub struct SimShared {
@@ -99,7 +101,7 @@ impl SimShared {
 /// convenience methods.
 pub trait SimAccess {
     /// The shared engine state. Panics if the simulation no longer exists
-    /// (only possible from a process thread racing teardown, which the
+    /// (only possible from a process that outlives teardown, which the
     /// termination protocol prevents for well-behaved processes).
     #[doc(hidden)]
     fn shared(&self) -> Arc<SimShared>;
@@ -155,7 +157,15 @@ impl<T: SimAccess + ?Sized> SimAccessExt for T {}
 /// A discrete-event simulation.
 ///
 /// `Sim` is deliberately **not** `Clone`: it is the unique strong owner of
-/// the engine. Dropping it terminates and joins all process threads.
+/// the engine. Dropping it terminates all processes.
+///
+/// Nor is it `Send`: its processes run on the thread that calls
+/// [`Sim::run`], so a simulation stays on the thread that built it.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simnet::Sim>();
+/// ```
 ///
 /// # Example
 ///
@@ -173,6 +183,7 @@ impl<T: SimAccess + ?Sized> SimAccessExt for T {}
 /// ```
 pub struct Sim {
     shared: Arc<SimShared>,
+    _pinned: PhantomData<*const ()>,
 }
 
 impl Default for Sim {
@@ -192,18 +203,20 @@ impl Sim {
                     queue: BinaryHeap::new(),
                     executed: 0,
                 }),
-                procs: Mutex::new(ProcTable::new()),
+                procs: Mutex::default(),
                 tracer: emp_trace::Tracer::new(),
                 telemetry: emp_trace::telemetry::Registry::new(),
             }),
+            _pinned: PhantomData,
         }
     }
 
     /// Spawn a simulated process that starts at the current simulated time.
     ///
-    /// The closure runs on a dedicated OS thread but in strict alternation
-    /// with the event loop: it executes only between [`ProcessCtx`] blocking
-    /// calls, so it may freely manipulate shared component state.
+    /// The closure runs on a stack of its own, on the thread that runs the
+    /// simulation, in strict alternation with the event loop: it executes
+    /// only between [`ProcessCtx`] blocking calls, so it may freely
+    /// manipulate shared component state.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
     where
         F: FnOnce(&mut ProcessCtx) -> SimResult<()> + Send + 'static,
@@ -222,22 +235,8 @@ impl Sim {
     /// executed events, so a drained queue leaves it at the last event that
     /// ran. Returns the current simulated time.
     pub fn run_until(&self, deadline: SimTime) -> SimTime {
-        loop {
-            let ev = {
-                let mut core = self.shared.core.lock();
-                match core.queue.peek() {
-                    Some(top) if top.time <= deadline => {
-                        let ev = core.queue.pop().expect("peeked event exists");
-                        core.now = ev.time;
-                        core.executed += 1;
-                        ev
-                    }
-                    _ => break,
-                }
-            };
-            let t = ev.time;
-            (ev.f)(self);
-            self.shared.telemetry.maybe_sample(t.nanos());
+        while let Some(ev) = self.pop_due(deadline) {
+            self.execute(ev);
         }
         self.shared.now()
     }
@@ -246,26 +245,33 @@ impl Sim {
     /// `deadline` as a backstop against runaway protocol timers. Returns
     /// `true` if the completion fired.
     pub fn run_until_complete(&self, done: &Completion, deadline: SimTime) -> bool {
-        loop {
-            if done.is_done() {
-                return true;
-            }
-            let ev = {
-                let mut core = self.shared.core.lock();
-                match core.queue.peek() {
-                    Some(top) if top.time <= deadline => {
-                        let ev = core.queue.pop().expect("peeked event exists");
-                        core.now = ev.time;
-                        core.executed += 1;
-                        ev
-                    }
-                    _ => return done.is_done(),
-                }
+        while !done.is_done() {
+            let Some(ev) = self.pop_due(deadline) else {
+                return false;
             };
-            let t = ev.time;
-            (ev.f)(self);
-            self.shared.telemetry.maybe_sample(t.nanos());
+            self.execute(ev);
         }
+        true
+    }
+
+    /// Pop the next event due at or before `deadline`, advancing the clock
+    /// to it.
+    fn pop_due(&self, deadline: SimTime) -> Option<Event> {
+        let mut core = self.shared.core.lock();
+        if core.queue.peek()?.time > deadline {
+            return None;
+        }
+        let ev = core.queue.pop()?;
+        core.now = ev.time;
+        core.executed += 1;
+        Some(ev)
+    }
+
+    /// Run one popped event, then give the telemetry sampler its tick.
+    fn execute(&self, ev: Event) {
+        let t = ev.time;
+        (ev.f)(self);
+        self.shared.telemetry.maybe_sample(t.nanos());
     }
 
     /// Total number of events executed so far.
@@ -278,23 +284,17 @@ impl Sim {
         self.shared.core.lock().queue.len()
     }
 
-    /// Resume a parked process and block until it parks again or finishes.
+    /// Resume a parked process and return once it parks again or finishes.
     /// Only called from wake events scheduled via `schedule_wake`.
     pub(crate) fn step_process(&self, pid: ProcId) {
-        let step = {
-            let table = self.shared.procs.lock();
-            table.begin_step(pid)
-        };
+        let step = self.shared.procs.lock().begin_step(pid);
         let Some(step) = step else { return };
-        match step.run() {
-            StepOutcome::Parked => {}
-            StepOutcome::Finished => {
-                self.shared.procs.lock().mark_finished(pid);
-            }
-            StepOutcome::Failed(msg) => {
-                self.shared.procs.lock().mark_finished(pid);
-                panic!("simulated process failed: {msg}");
-            }
+        let outcome = step.run();
+        if !matches!(outcome, StepOutcome::Parked) {
+            self.shared.procs.lock().mark_finished(pid);
+        }
+        if let StepOutcome::Failed(msg) = outcome {
+            panic!("simulated process failed: {msg}");
         }
     }
 }
@@ -307,7 +307,7 @@ impl SimAccess for Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        self.shared.procs.lock().terminate_all();
+        ProcTable::terminate_all(&self.shared);
     }
 }
 

@@ -10,7 +10,7 @@ pub type SimResult<T> = Result<T, SimError>;
 pub enum SimError {
     /// The simulation was dropped while this process was blocked. A process
     /// receiving this should unwind promptly (the `?` operator does the right
-    /// thing); it is the normal way process threads are reclaimed.
+    /// thing); it is the normal way processes are reclaimed.
     Terminated,
     /// An application-level failure. Protocol layers convert their own error
     /// types into this variant when a process gives up; the simulation run

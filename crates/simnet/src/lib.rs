@@ -4,9 +4,9 @@
 //!
 //! * a **discrete-event engine** ([`Sim`]) with nanosecond time, strict
 //!   `(time, sequence)` event ordering and bit-for-bit reproducible runs;
-//! * **simulated processes** ([`ProcessCtx`]) — OS threads in strict
-//!   alternation with the event loop, so protocol and application code is
-//!   written in natural blocking style;
+//! * **simulated processes** ([`ProcessCtx`]) — stackful coroutines in
+//!   strict alternation with the event loop, so protocol and application
+//!   code is written in natural blocking style;
 //! * **synchronization primitives** ([`Completion`], [`SimCondvar`],
 //!   [`SimQueue`], [`SimSemaphore`]) that preserve the engine's park/wake
 //!   discipline;
@@ -24,7 +24,7 @@
 //! `&dyn SimAccess` (events get `&Sim`, processes use their
 //! [`ProcessCtx`]). Cross-component references through links are weak.
 //! Consequently `Sim` is the unique owner of the world: dropping it
-//! terminates and joins every simulated-process thread deterministically.
+//! terminates every simulated process deterministically.
 
 #![warn(missing_docs)]
 

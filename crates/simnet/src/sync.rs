@@ -160,29 +160,11 @@ pub fn wait_any(ctx: &ProcessCtx, completions: &[&Completion]) -> SimResult<usiz
             return Ok(idx);
         }
         let guard = WaitGuard::new(ctx.pid());
-        let mut registered_any = false;
-        let mut fired = false;
         for c in completions {
-            if !c.register(&guard) {
-                // Completed during registration — impossible under strict
-                // alternation, but handle it defensively: claim our own
-                // guard so a racing complete() cannot double-wake.
-                fired = true;
-                break;
-            }
-            registered_any = true;
+            // None was done just now, and nothing else runs before we park.
+            let registered = c.register(&guard);
+            debug_assert!(registered, "completion finished during registration");
         }
-        if fired {
-            if guard.claim() {
-                // Nobody woke us; loop to pick the completed index.
-                continue;
-            }
-            // A completion claimed the guard: a wake event is scheduled
-            // for us, so we must park to consume it.
-            ctx.park()?;
-            continue;
-        }
-        debug_assert!(registered_any);
         ctx.park()?;
     }
 }

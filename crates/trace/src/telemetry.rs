@@ -127,11 +127,11 @@ impl Gauge {
 /// A log-linear histogram over `u64` values (typically nanoseconds):
 /// exact buckets below 16, then 16 sub-buckets per power of two, so any
 /// recorded quantile is exact to within 6.25% of its value. Covers the
-/// full `u64` range with a fixed 976-slot table; recording is five
-/// relaxed atomic operations and never allocates.
+/// full `u64` range with a fixed 976-slot table; recording is two
+/// relaxed atomic adds (plus a min/max update when a bound moves) and
+/// never allocates. The count is the buckets' sum.
 pub struct LogLinHistogram {
     buckets: Box<[AtomicU64; NUM_BUCKETS]>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -149,7 +149,6 @@ impl LogLinHistogram {
                 .into_boxed_slice()
                 .try_into()
                 .unwrap_or_else(|_| unreachable!("length is NUM_BUCKETS")),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -160,20 +159,23 @@ impl LogLinHistogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // Most values move neither bound: a load is cheaper than a CAS loop.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Point-in-time copy (sparse: only non-empty buckets).
     pub fn snapshot(&self) -> HistSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
         let mut buckets = Vec::new();
         for (i, b) in self.buckets.iter().enumerate() {
             let c = b.load(Ordering::Relaxed);
@@ -181,6 +183,7 @@ impl LogLinHistogram {
                 buckets.push((i as u32, c));
             }
         }
+        let count = buckets.iter().map(|&(_, c)| c).sum();
         HistSnapshot {
             buckets,
             count,
@@ -401,8 +404,8 @@ impl Registry {
     /// registering lazily on first activity may race benignly). The
     /// closure receives the sample's sim time in nanoseconds and must not
     /// call back into this registry or block: return `None` (e.g. on a
-    /// failed `try_lock`) to skip the tick — a parked process may hold
-    /// the component's lock when the sampler fires.
+    /// failed `try_lock`) to skip the tick — a blocked sampler would
+    /// stall the engine thread.
     pub fn register_sampled<F>(&self, name: &str, f: F)
     where
         F: Fn(u64) -> Option<i64> + Send + 'static,

@@ -322,7 +322,7 @@ fn run_schedule(g: Geom, steps: Vec<Step>) {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12, // each case runs a full simulation with OS threads
+        cases: 256, // each case runs a full simulation
         .. ProptestConfig::default()
     })]
 
