@@ -13,10 +13,10 @@ step "cargo fmt --check"
 cargo fmt --all --check
 
 step "cargo clippy (default features)"
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo clippy (trace feature)"
-cargo clippy --workspace --features trace -- -D warnings
+cargo clippy --workspace --all-targets --features trace -- -D warnings
 
 if [[ "${1:-}" != "--fast" ]]; then
     step "cargo build --release"

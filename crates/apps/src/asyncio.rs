@@ -45,9 +45,8 @@ use crate::api::{
     RingCounters, RingDepths, RingOp, Sqe,
 };
 
-/// Read granularity of [`serve_async`] handlers, matching the event
-/// loop's chunk so the three single-process server models issue
-/// identical I/O patterns.
+/// Read granularity of the [`serve_async`] handlers and the event loop,
+/// so the single-process server models issue identical I/O patterns.
 pub const READ_CHUNK: usize = 4096;
 
 // ---------------------------------------------------------------------
@@ -365,8 +364,7 @@ impl Drop for Readiness<'_> {
 /// the event loop threads by hand is just control flow here, yet the
 /// whole server still runs on one process — the executor interleaves
 /// handlers at their await points. Same protocol, byte for byte, as
-/// [`crate::eventloop::serve_event_loop`] and
-/// [`crate::completion::serve_completion`].
+/// the other [`crate::eventloop::ServerModel`] drivers.
 pub fn serve_async(
     ctx: &ProcessCtx,
     l: Box<dyn NetListener>,

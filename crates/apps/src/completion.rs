@@ -6,9 +6,9 @@
 //! the I/O itself — `Accept`/`Read`/`Write`/`Close` ops on a
 //! submission queue over registered buffers — and consumes completions
 //! in batches. Applications supply the same `service(inbuf, out)`
-//! framing callback as the event loop, so the three server models
-//! (per-connection, readiness event loop, completion ring) answer the
-//! same protocol byte-for-byte and differ only in their I/O model.
+//! framing callback as to the other drivers, so every
+//! [`crate::eventloop::ServerModel`] answers the same protocol
+//! byte-for-byte and they differ only in their I/O model.
 //!
 //! The discipline mirrors the event loop's: per connection at most one
 //! op is in flight — a `Read` while idle, `Write`s while a response is
@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use simnet::{ProcessCtx, SimAccess, SimResult};
+use simnet::{ProcessCtx, SimResult};
 
 use crate::api::{CqeResult, NetApi, NetListener, RingConfig, RingCounters, RingOp, Sqe};
 
@@ -110,9 +110,6 @@ pub fn serve_completion(
     let mut conns: HashMap<u32, CState> = HashMap::new();
     let mut accepted = 0u32;
     let mut open = 0u32;
-    // Time spent turning each completion batch into new submissions —
-    // the completion model's per-turn latency distribution.
-    let turn_hist = ctx.telemetry().histogram("app.completion_turn_ns");
 
     if n_conns == 0 {
         let counters = ring.counters();
@@ -131,7 +128,6 @@ pub fn serve_completion(
         ring.submit_and_wait(ctx, 1)?
             .expect("server ring never stalls");
         let batch = ring.reap(cfg.cq_depth);
-        let turn_start = ctx.now();
         for cqe in batch {
             let conn = ud_conn(cqe.user_data);
             // The completed op's buffer (if any) is application-owned
@@ -201,7 +197,6 @@ pub fn serve_completion(
                 }
             }
         }
-        turn_hist.record((ctx.now() - turn_start).nanos());
     }
 
     let counters = ring.counters();

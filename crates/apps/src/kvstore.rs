@@ -19,11 +19,8 @@ use rand::{Rng, SeedableRng};
 use simnet::{Sim, SimAccess, SimTime};
 
 use crate::api::Conn;
-use crate::asyncio::serve_async;
-use crate::completion::serve_completion;
-use crate::eventloop::{serve_event_loop, serve_event_loop_with, OverloadPolicy, ServeReport};
+use crate::eventloop::{serve_event_loop, OverloadPolicy, ServeReport, ServerModel};
 use crate::testbed::Testbed;
-use crate::webserver::ServerModel;
 
 /// Server port.
 pub const KV_PORT: u16 = 111;
@@ -71,125 +68,31 @@ fn read_exactly(
     }
 }
 
-/// Serve `expected_conns` client connections on node `server`, each
-/// handled by its own worker until the client closes.
-pub fn spawn_server(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
+/// Serve `expected_conns` clients on node `server`, structured per
+/// `model`. Every model runs the one GET/PUT protocol, `serve_frames`.
+pub fn spawn_server(
+    sim: &Sim,
+    tb: &Testbed,
+    server: usize,
+    model: ServerModel,
+    expected_conns: u32,
+) {
     let api = Arc::clone(&tb.nodes[server].api);
-    let store: Arc<Mutex<HashMap<u32, Bytes>>> = Arc::new(Mutex::new(HashMap::new()));
-    sim.spawn("kv-server", move |ctx| {
+    sim.spawn(format!("kv-{}", model.label()), move |ctx| {
         let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        for _ in 0..expected_conns {
-            let conn = l.accept(ctx)?.expect("client");
-            let store = Arc::clone(&store);
-            ctx.spawn("kv-worker", move |ctx| {
-                // Request: op u8, key u32, value_len u32 [, value].
-                while let Some(hdr) = read_exactly(ctx, &conn, 9)? {
-                    let op = hdr[0];
-                    let key = u32::from_le_bytes(hdr[1..5].try_into().expect("4"));
-                    let vlen = u32::from_le_bytes(hdr[5..9].try_into().expect("4")) as usize;
-                    match op {
-                        OP_PUT => {
-                            let Some(value) = read_exactly(ctx, &conn, vlen)? else {
-                                break;
-                            };
-                            store.lock().insert(key, value);
-                            // Response: status u8, len u32 (0).
-                            let mut r = BytesMut::with_capacity(5);
-                            r.put_u8(STATUS_OK);
-                            r.put_u32_le(0);
-                            if conn.write(ctx, &r)?.is_err() {
-                                break;
-                            }
-                        }
-                        OP_GET => {
-                            let hit = store.lock().get(&key).cloned();
-                            let mut r = BytesMut::with_capacity(5);
-                            match &hit {
-                                Some(v) => {
-                                    r.put_u8(STATUS_OK);
-                                    r.put_u32_le(v.len() as u32);
-                                    r.extend_from_slice(v);
-                                }
-                                None => {
-                                    r.put_u8(STATUS_MISS);
-                                    r.put_u32_le(0);
-                                }
-                            }
-                            if conn.write(ctx, &r)?.is_err() {
-                                break;
-                            }
-                        }
-                        other => panic!("unknown kv op {other}"),
-                    }
-                }
-                let _ = conn.close(ctx);
-                Ok(())
-            });
-        }
-        l.close(ctx)?;
-        Ok(())
+        model.serve(
+            ctx,
+            api.as_ref(),
+            l,
+            expected_conns,
+            &[],
+            next_read,
+            service(),
+        )
     });
 }
 
-/// Serve `expected_conns` clients from one single-process event loop on
-/// node `server`: the same GET/PUT protocol as [`spawn_server`], framed
-/// incrementally out of the loop's receive buffer (the 9-byte header
-/// first, then — for PUT — the value body), driven entirely by
-/// [`crate::api::NetApi::poll`] and the nonblocking calls.
-pub fn spawn_server_event_loop(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
-    let api = Arc::clone(&tb.nodes[server].api);
-    sim.spawn("kv-event-loop", move |ctx| {
-        let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        // Single process: the store needs no lock.
-        let mut store: HashMap<u32, Bytes> = HashMap::new();
-        serve_event_loop(ctx, api.as_ref(), l.as_ref(), expected_conns, &[], {
-            let store = &mut store;
-            move |inbuf, out| serve_frames(store, inbuf, out)
-        })?;
-        l.close(ctx)?;
-        Ok(())
-    });
-}
-
-/// Serve `expected_conns` clients through one completion ring on node
-/// `server`: the same GET/PUT protocol and incremental framing as
-/// [`spawn_server_event_loop`], but driven by submitted
-/// `Read`/`Write` ops over registered buffers and reaped completions
-/// ([`crate::completion::serve_completion`]) instead of readiness
-/// events.
-pub fn spawn_server_completion(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
-    let api = Arc::clone(&tb.nodes[server].api);
-    sim.spawn("kv-completion", move |ctx| {
-        let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        let mut store: HashMap<u32, Bytes> = HashMap::new();
-        serve_completion(ctx, api.as_ref(), l, expected_conns, &[], {
-            let store = &mut store;
-            move |inbuf, out| serve_frames(store, inbuf, out)
-        })?;
-        Ok(())
-    });
-}
-
-/// Serve `expected_conns` clients with straight-line async handlers on
-/// node `server`: the same GET/PUT protocol and incremental framing as
-/// [`spawn_server_event_loop`], but each connection is an `async` task
-/// on one executor ([`crate::asyncio::serve_async`]) instead of a hand-
-/// threaded state machine.
-pub fn spawn_server_async(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
-    let api = Arc::clone(&tb.nodes[server].api);
-    sim.spawn("kv-async", move |ctx| {
-        let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        // Single executor process: the store moves into the service
-        // closure and needs no lock.
-        let mut store: HashMap<u32, Bytes> = HashMap::new();
-        serve_async(ctx, l, expected_conns, &[], move |inbuf, out| {
-            serve_frames(&mut store, inbuf, out)
-        })?;
-        Ok(())
-    });
-}
-
-/// As [`spawn_server_event_loop`], with a concurrency budget: at most
+/// An event-loop [`spawn_server`] with a concurrency budget: at most
 /// `max_conns` clients are served at once and the overflow is answered
 /// with a [`STATUS_BUSY`] frame, then closed. Returns a handle that
 /// carries the server's [`ServeReport`] once the workload drains.
@@ -205,7 +108,6 @@ pub fn spawn_server_event_loop_shedding(
     let out = Arc::clone(&report);
     sim.spawn("kv-shedding-loop", move |ctx| {
         let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        let mut store: HashMap<u32, Bytes> = HashMap::new();
         // Busy frame: status byte + zero-length value.
         let mut busy = vec![STATUS_BUSY];
         busy.extend_from_slice(&0u32.to_le_bytes());
@@ -214,23 +116,40 @@ pub fn spawn_server_event_loop_shedding(
             shed_response: busy,
             ..OverloadPolicy::default()
         };
-        let r = serve_event_loop_with(
+        let r = serve_event_loop(
             ctx,
             api.as_ref(),
             l.as_ref(),
             expected_conns,
             &[],
             &policy,
-            {
-                let store = &mut store;
-                move |inbuf, out| serve_frames(store, inbuf, out)
-            },
+            service(),
         )?;
         *report.lock() = Some(r);
         l.close(ctx)?;
         Ok(())
     });
     out
+}
+
+/// Bytes that finish the request in progress: the rest of the 9-byte
+/// header, then the rest of a PUT's value. The per-connection server
+/// reads exactly this much at a time.
+fn next_read(inbuf: &[u8]) -> usize {
+    let frame = match *inbuf {
+        [OP_PUT, _, _, _, _, l0, l1, l2, l3, ..] => {
+            9 + u32::from_le_bytes([l0, l1, l2, l3]) as usize
+        }
+        _ => 9,
+    };
+    frame - inbuf.len()
+}
+
+/// The request handler every server model runs: [`serve_frames`] over
+/// one store shared by all connections.
+fn service() -> impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + Send + 'static {
+    let mut store = HashMap::new();
+    move |inbuf, out| serve_frames(&mut store, inbuf, out)
 }
 
 /// Consume every complete request in `inbuf` — leaving a partial frame
@@ -273,6 +192,12 @@ fn serve_frames(store: &mut HashMap<u32, Bytes>, inbuf: &mut Vec<u8>, out: &mut 
     }
 }
 
+/// The `j`-th byte of the value every client PUTs under `key`: a GET of
+/// any key finds exactly these bytes, whichever client stored them last.
+fn value_byte(key: u32, j: usize) -> u8 {
+    ((u64::from(key) * 131 + j as u64 * 7 + 13) % 251) as u8
+}
+
 /// Run `n_clients` clients (on nodes 1..) against a server on node 0;
 /// each performs `ops_per_client` operations with the given value size
 /// and GET fraction. Deterministic for a given seed.
@@ -310,12 +235,7 @@ pub fn run_workload_with(
         "need a node per client + server"
     );
     let sim = Sim::new();
-    match model {
-        ServerModel::PerConnection => spawn_server(&sim, tb, 0, n_clients as u32),
-        ServerModel::EventLoop => spawn_server_event_loop(&sim, tb, 0, n_clients as u32),
-        ServerModel::Completion => spawn_server_completion(&sim, tb, 0, n_clients as u32),
-        ServerModel::Async => spawn_server_async(&sim, tb, 0, n_clients as u32),
-    }
+    spawn_server(&sim, tb, 0, model, n_clients as u32);
     let acc = Arc::new(Mutex::new((0u64, 0u64, 0.0f64, SimTime::ZERO)));
 
     for c in 0..n_clients {
@@ -325,14 +245,15 @@ pub fn run_workload_with(
         sim.spawn(format!("kv-client-{c}"), move |ctx| {
             let mut rng = StdRng::seed_from_u64(seed ^ (c as u64) << 32);
             let conn = api.connect(ctx, host, KV_PORT)?.expect("connect");
-            let value = vec![0xcdu8; value_size];
+            let value =
+                |key: u32| -> Vec<u8> { (0..value_size).map(|j| value_byte(key, j)).collect() };
             let key_space = 256u32;
             let mut ops = 0u64;
             let mut hits = 0u64;
             let mut total_us = 0.0f64;
             // Warm a few keys so GETs can hit.
             for k in 0..8u32 {
-                conn.write(ctx, &encode_request(OP_PUT, k, Some(&value)))?
+                conn.write(ctx, &encode_request(OP_PUT, k, Some(&value(k))))?
                     .expect("put");
                 let _ = read_exactly(ctx, &conn, 5)?.expect("resp");
             }
@@ -347,10 +268,13 @@ pub fn run_workload_with(
                     if hdr[0] == STATUS_OK {
                         hits += 1;
                         let body = read_exactly(ctx, &conn, len)?.expect("body");
-                        debug_assert_eq!(body.len(), value_size);
+                        assert_eq!(body.len(), value_size, "key {key}");
+                        for (j, &byte) in body.iter().enumerate() {
+                            assert_eq!(byte, value_byte(key, j), "key {key} byte {j}");
+                        }
                     }
                 } else {
-                    conn.write(ctx, &encode_request(OP_PUT, key, Some(&value)))?
+                    conn.write(ctx, &encode_request(OP_PUT, key, Some(&value(key))))?
                         .expect("put");
                     let _ = read_exactly(ctx, &conn, 5)?.expect("resp");
                 }
@@ -388,8 +312,8 @@ mod tests {
     #[test]
     fn store_roundtrips_values_exactly() {
         // Direct correctness: PUT then GET the same key returns identical
-        // bytes (checked inside the client via length + debug asserts;
-        // here also via hit counting with a single hot key).
+        // bytes (every GET body byte is checked inside the client; here
+        // also via hit counting).
         let tb = Testbed::emp_default(2);
         let r = run_workload(&tb, 1, 60, 256, 0.7, 42);
         assert_eq!(r.ops, 60);
@@ -417,13 +341,22 @@ mod tests {
 
     #[test]
     fn event_loop_server_completes_the_same_workload() {
-        let tb = Testbed::emp_default(3);
-        let el = run_workload_with(&tb, ServerModel::EventLoop, 2, 30, 64, 0.5, 9);
-        assert_eq!(el.ops, 60);
-        assert!(el.hits > 0, "warmed keys must produce hits");
-        let tcp = Testbed::kernel_default(3);
-        let el = run_workload_with(&tcp, ServerModel::EventLoop, 2, 30, 64, 0.5, 9);
-        assert_eq!(el.ops, 60);
+        // Every server model on both stacks, with 16 KiB values: each PUT
+        // spans several 4 KiB reads of the single-process drivers, which
+        // must reassemble it. GET bodies are byte-checked in the client.
+        for tb in [Testbed::emp_default(3), Testbed::kernel_default(3)] {
+            for model in [
+                ServerModel::PerConnection,
+                ServerModel::EventLoop,
+                ServerModel::Completion,
+                ServerModel::Async,
+            ] {
+                let r = run_workload_with(&tb, model, 2, 30, 16 * 1024, 0.5, 9);
+                let on = format!("{} on {}", model.label(), tb.nodes[0].api.label());
+                assert_eq!(r.ops, 60, "{on}");
+                assert!(r.hits > 0, "warmed keys must produce hits: {on}");
+            }
+        }
     }
 
     #[test]
@@ -479,6 +412,16 @@ mod tests {
             let r = report.lock().expect("server finished");
             assert_eq!(r.shed, busy, "server and client shed counts agree");
         }
+    }
+
+    #[test]
+    fn next_read_stops_at_the_frame_in_progress() {
+        assert_eq!(next_read(&[]), 9);
+        assert_eq!(next_read(&[OP_GET, 1, 0]), 6);
+        let put = encode_request(OP_PUT, 7, Some(&[0xab; 100]));
+        assert_eq!(next_read(&put[..4]), 5);
+        assert_eq!(next_read(&put[..9]), 100);
+        assert_eq!(next_read(&put[..50]), 59);
     }
 
     #[test]

@@ -41,6 +41,8 @@ pub use api::{
 };
 pub use asyncio::{serve_async, AsyncConnector, AsyncListener, AsyncRing, AsyncStream};
 pub use completion::serve_completion;
-pub use eventloop::{serve_event_loop, serve_event_loop_with, OverloadPolicy, ServeReport};
+pub use eventloop::{
+    serve_event_loop, serve_per_connection, OverloadPolicy, ServeReport, ServerModel,
+};
 pub use overload::{run_storm, run_storm_on, OverloadReport, StormConfig};
 pub use testbed::{AppNode, Testbed};

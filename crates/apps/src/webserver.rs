@@ -11,9 +11,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simnet::{Sim, SimAccess, SimTime};
 
-use crate::asyncio::serve_async;
-use crate::completion::serve_completion;
-use crate::eventloop::{serve_event_loop, serve_event_loop_with, OverloadPolicy, ServeReport};
+use crate::eventloop::{
+    serve_event_loop, serve_per_connection, OverloadPolicy, ServeReport, ServerModel,
+};
 use crate::testbed::Testbed;
 
 /// The request message size (§7.4: "a request message (which can
@@ -74,27 +74,7 @@ pub fn average_response_us_per_conn(
     let api = Arc::clone(&tb.nodes[0].api);
     sim.spawn("http-server", move |ctx| {
         let l = api.listen(ctx, HTTP_PORT, 16)?.expect("port free");
-        for _ in 0..total_conns {
-            let conn = l.accept(ctx)?.expect("client");
-            ctx.spawn("http-worker", move |ctx| {
-                loop {
-                    let req = match conn.read_exact(ctx, REQUEST_SIZE)? {
-                        Ok(Some(r)) => r,
-                        Ok(None) => break, // client closed the connection
-                        Err(_) => break,
-                    };
-                    debug_assert_eq!(req.len(), REQUEST_SIZE);
-                    let response = vec![0x42u8; response_size];
-                    if conn.write(ctx, &response)?.is_err() {
-                        break;
-                    }
-                }
-                let _ = conn.close(ctx);
-                Ok(())
-            });
-        }
-        l.close(ctx)?;
-        Ok(())
+        serve_per_connection(ctx, l, total_conns, &[], next_read, service(response_size))
     });
 
     // --- clients ---
@@ -157,36 +137,6 @@ const HELLO_BYTE: u8 = b'+';
 /// one-byte protocol. Clients see it and back off deterministically.
 pub const SHED_BYTE: u8 = b'!';
 
-/// How the concurrent-connection server is structured.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ServerModel {
-    /// A worker process per accepted connection, blocking calls.
-    PerConnection,
-    /// One process, one [`crate::api::NetApi::poll`] wait, nonblocking
-    /// calls ([`serve_event_loop`]).
-    EventLoop,
-    /// One process, one completion ring ([`crate::api::NetApi::ring`]):
-    /// ops submitted over registered buffers, completions reaped in
-    /// batches ([`serve_completion`]).
-    Completion,
-    /// One process, one async executor ([`emp_async::LocalExecutor`]):
-    /// a straight-line `async` handler task per connection, wakes from
-    /// the readiness layer ([`crate::asyncio::serve_async`]).
-    Async,
-}
-
-impl ServerModel {
-    /// Short name for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServerModel::PerConnection => "per-conn",
-            ServerModel::EventLoop => "event-loop",
-            ServerModel::Completion => "completion",
-            ServerModel::Async => "async",
-        }
-    }
-}
-
 /// Aggregate result of one [`concurrent_throughput`] run.
 #[derive(Clone, Copy, Debug)]
 pub struct ConcurrencyRun {
@@ -222,8 +172,22 @@ fn decode_request(req: &[u8]) -> (u32, u32) {
     )
 }
 
-fn response_body(conn: u32, req: u32, size: usize) -> Vec<u8> {
-    (0..size).map(|j| body_byte(conn, req, j)).collect()
+/// Bytes that finish the request in progress: the per-connection
+/// server reads one request at a time.
+fn next_read(inbuf: &[u8]) -> usize {
+    REQUEST_SIZE - inbuf.len()
+}
+
+/// The request handler every server model runs: answer each complete
+/// request in `inbuf` with its `response_size`-byte body.
+fn service(response_size: usize) -> impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + Send + 'static {
+    move |inbuf, out| {
+        while inbuf.len() >= REQUEST_SIZE {
+            let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
+            inbuf.drain(..REQUEST_SIZE);
+            out.extend((0..response_size).map(|j| body_byte(cid, rid, j)));
+        }
+    }
 }
 
 /// Run `n_conns` concurrent persistent connections (clients spread
@@ -258,43 +222,7 @@ pub fn concurrent_throughput_on(
     reqs_per_conn: u32,
     response_size: usize,
 ) -> ConcurrencyRun {
-    assert!(tb.nodes.len() >= 2, "need a server node and a client node");
-    assert!(n_conns >= 1 && reqs_per_conn >= 1);
-    spawn_model_server(sim, tb, model, n_conns, response_size);
-
-    let end = Arc::new(Mutex::new((SimTime::ZERO, 0u32)));
-    for k in 0..n_conns {
-        let node = 1 + (k as usize % (tb.nodes.len() - 1));
-        let api = Arc::clone(&tb.nodes[node].api);
-        let server_host = tb.nodes[0].api.local_host();
-        let end = Arc::clone(&end);
-        sim.spawn(format!("http-conc-client-{k}"), move |ctx| {
-            let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
-            let hello = conn
-                .read_exact(ctx, 1)?
-                .expect("hello")
-                .expect("hello byte");
-            assert_eq!(hello[0], HELLO_BYTE);
-            for r in 0..reqs_per_conn {
-                conn.write(ctx, &encode_request(k, r))?.expect("request");
-                let body = conn
-                    .read_exact(ctx, response_size)?
-                    .expect("response")
-                    .expect("body");
-                for (j, &byte) in body.iter().enumerate() {
-                    assert_eq!(byte, body_byte(k, r, j), "conn {k} req {r} byte {j}");
-                }
-            }
-            conn.close(ctx)?;
-            let mut e = end.lock();
-            e.0 = e.0.max(ctx.now());
-            e.1 += 1;
-            Ok(())
-        });
-    }
-    sim.run_until(SimTime::from_secs(600));
-    let (end, finished) = *end.lock();
-    assert_eq!(finished, n_conns, "every connection must finish");
+    let end = run_concurrent(sim, tb, model, n_conns, reqs_per_conn, response_size).end;
     let requests = u64::from(n_conns) * u64::from(reqs_per_conn);
     ConcurrencyRun {
         requests,
@@ -303,98 +231,113 @@ pub fn concurrent_throughput_on(
     }
 }
 
-/// Spawn the node-0 server of the concurrent workload, structured per
-/// `model`. All four models speak the same byte protocol, so the same
-/// clients verify any of them.
-fn spawn_model_server(
+/// What the clients of one [`run_clients`] observed.
+#[derive(Default)]
+struct ClientTally {
+    /// `(connection, request → verified-response µs)` per request.
+    samples: Vec<(u32, f64)>,
+    /// When the last fully served client closed its connection.
+    end: SimTime,
+    /// Clients greeted and served in full.
+    finished: u32,
+    /// Clients answered with anything but the greeting: shed.
+    shed: u32,
+}
+
+/// The concurrent workload: a node-0 server structured per `model`, all
+/// of whose clients must be served in full (see [`run_clients`]).
+fn run_concurrent(
     sim: &Sim,
     tb: &Testbed,
     model: ServerModel,
     n_conns: u32,
+    reqs_per_conn: u32,
     response_size: usize,
-) {
+) -> ClientTally {
+    assert!(n_conns >= 1 && reqs_per_conn >= 1);
     let api = Arc::clone(&tb.nodes[0].api);
     let backlog = n_conns as usize + 8;
-    match model {
-        ServerModel::EventLoop => {
-            sim.spawn("http-event-loop", move |ctx| {
-                let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-                serve_event_loop(
-                    ctx,
-                    api.as_ref(),
-                    l.as_ref(),
-                    n_conns,
-                    &[HELLO_BYTE],
-                    |inbuf, out| {
-                        while inbuf.len() >= REQUEST_SIZE {
-                            let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
-                            inbuf.drain(..REQUEST_SIZE);
-                            out.extend_from_slice(&response_body(cid, rid, response_size));
+    sim.spawn(format!("http-{}", model.label()), move |ctx| {
+        let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
+        model.serve(
+            ctx,
+            api.as_ref(),
+            l,
+            n_conns,
+            &[HELLO_BYTE],
+            next_read,
+            service(response_size),
+        )
+    });
+    let tally = run_clients(sim, tb, n_conns, reqs_per_conn, response_size);
+    assert_eq!(tally.finished, n_conns, "every connection must finish");
+    assert_eq!(
+        tally.samples.len(),
+        (n_conns * reqs_per_conn) as usize,
+        "every request must complete"
+    );
+    tally
+}
+
+/// Run `n_conns` persistent connections from clients spread round-robin
+/// over nodes 1.. against the node-0 server until they drain. A client
+/// greeted with [`HELLO_BYTE`] issues `reqs_per_conn` requests and
+/// byte-verifies every response; one answered with anything else (the
+/// [`SHED_BYTE`], or a bare EOF) backs off as shed. Every server
+/// structure speaks this one byte protocol, so the same clients verify
+/// any of them.
+fn run_clients(
+    sim: &Sim,
+    tb: &Testbed,
+    n_conns: u32,
+    reqs_per_conn: u32,
+    response_size: usize,
+) -> ClientTally {
+    assert!(tb.nodes.len() >= 2, "need a server node and a client node");
+    let tally = Arc::new(Mutex::new(ClientTally::default()));
+    for k in 0..n_conns {
+        let node = 1 + (k as usize % (tb.nodes.len() - 1));
+        let api = Arc::clone(&tb.nodes[node].api);
+        let server_host = tb.nodes[0].api.local_host();
+        let tally = Arc::clone(&tally);
+        sim.spawn(format!("http-conc-client-{k}"), move |ctx| {
+            let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
+            match conn.read_exact(ctx, 1)?.expect("greeting") {
+                Some(b) if b[0] == HELLO_BYTE => {
+                    for r in 0..reqs_per_conn {
+                        let t0 = ctx.now();
+                        conn.write(ctx, &encode_request(k, r))?.expect("request");
+                        let body = conn
+                            .read_exact(ctx, response_size)?
+                            .expect("response")
+                            .expect("body");
+                        for (j, &byte) in body.iter().enumerate() {
+                            assert_eq!(byte, body_byte(k, r, j), "conn {k} req {r} byte {j}");
                         }
-                    },
-                )?;
-                l.close(ctx)?;
-                Ok(())
-            });
-        }
-        ServerModel::Completion => {
-            sim.spawn("http-completion", move |ctx| {
-                let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-                serve_completion(
-                    ctx,
-                    api.as_ref(),
-                    l,
-                    n_conns,
-                    &[HELLO_BYTE],
-                    |inbuf, out| {
-                        while inbuf.len() >= REQUEST_SIZE {
-                            let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
-                            inbuf.drain(..REQUEST_SIZE);
-                            out.extend_from_slice(&response_body(cid, rid, response_size));
-                        }
-                    },
-                )?;
-                Ok(())
-            });
-        }
-        ServerModel::Async => {
-            sim.spawn("http-async", move |ctx| {
-                let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-                serve_async(ctx, l, n_conns, &[HELLO_BYTE], move |inbuf, out| {
-                    while inbuf.len() >= REQUEST_SIZE {
-                        let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
-                        inbuf.drain(..REQUEST_SIZE);
-                        out.extend_from_slice(&response_body(cid, rid, response_size));
+                        let rtt = (ctx.now() - t0).as_micros_f64();
+                        tally.lock().samples.push((k, rtt));
                     }
-                })?;
-                Ok(())
-            });
-        }
-        ServerModel::PerConnection => {
-            sim.spawn("http-server", move |ctx| {
-                let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-                for _ in 0..n_conns {
-                    let conn = l.accept(ctx)?.expect("client");
-                    ctx.spawn("http-worker", move |ctx| {
-                        if conn.write(ctx, &[HELLO_BYTE])?.is_err() {
-                            return Ok(());
-                        }
-                        while let Ok(Some(req)) = conn.read_exact(ctx, REQUEST_SIZE)? {
-                            let (cid, rid) = decode_request(&req);
-                            let body = response_body(cid, rid, response_size);
-                            if conn.write(ctx, &body)?.is_err() {
-                                break;
-                            }
-                        }
-                        let _ = conn.close(ctx);
-                        Ok(())
-                    });
+                    conn.close(ctx)?;
+                    let mut t = tally.lock();
+                    t.end = t.end.max(ctx.now());
+                    t.finished += 1;
                 }
-                l.close(ctx)?;
-                Ok(())
-            });
-        }
+                _ => {
+                    let _ = conn.close(ctx);
+                    tally.lock().shed += 1;
+                }
+            }
+            Ok(())
+        });
     }
+    sim.run_until(SimTime::from_secs(600));
+    let tally = std::mem::take(&mut *tally.lock());
+    assert_eq!(
+        tally.finished + tally.shed,
+        n_conns,
+        "every client gets a typed answer"
+    );
+    tally
 }
 
 /// Latency/fairness view of one [`concurrent_throughput`]-shaped run.
@@ -424,49 +367,15 @@ pub fn concurrent_latency(
     reqs_per_conn: u32,
     response_size: usize,
 ) -> LatencyRun {
-    assert!(tb.nodes.len() >= 2, "need a server node and a client node");
-    assert!(n_conns >= 1 && reqs_per_conn >= 1);
-    let sim = Sim::new();
-    spawn_model_server(&sim, tb, model, n_conns, response_size);
-
-    let samples: Arc<Mutex<Vec<(u32, f64)>>> = Arc::new(Mutex::new(Vec::with_capacity(
-        (n_conns * reqs_per_conn) as usize,
-    )));
-    for k in 0..n_conns {
-        let node = 1 + (k as usize % (tb.nodes.len() - 1));
-        let api = Arc::clone(&tb.nodes[node].api);
-        let server_host = tb.nodes[0].api.local_host();
-        let samples = Arc::clone(&samples);
-        sim.spawn(format!("http-lat-client-{k}"), move |ctx| {
-            let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
-            let hello = conn
-                .read_exact(ctx, 1)?
-                .expect("hello")
-                .expect("hello byte");
-            assert_eq!(hello[0], HELLO_BYTE);
-            for r in 0..reqs_per_conn {
-                let t0 = ctx.now();
-                conn.write(ctx, &encode_request(k, r))?.expect("request");
-                let body = conn
-                    .read_exact(ctx, response_size)?
-                    .expect("response")
-                    .expect("body");
-                for (j, &byte) in body.iter().enumerate() {
-                    assert_eq!(byte, body_byte(k, r, j), "conn {k} req {r} byte {j}");
-                }
-                samples.lock().push((k, (ctx.now() - t0).as_micros_f64()));
-            }
-            conn.close(ctx)?;
-            Ok(())
-        });
-    }
-    sim.run_until(SimTime::from_secs(600));
-    let s = samples.lock();
-    assert_eq!(
-        s.len(),
-        (n_conns * reqs_per_conn) as usize,
-        "every request must complete"
-    );
+    let s = run_concurrent(
+        &Sim::new(),
+        tb,
+        model,
+        n_conns,
+        reqs_per_conn,
+        response_size,
+    )
+    .samples;
     let mut rtts: Vec<f64> = s.iter().map(|&(_, us)| us).collect();
     rtts.sort_by(f64::total_cmp);
     let pct = |q: f64| rtts[((rtts.len() - 1) as f64 * q).round() as usize];
@@ -501,75 +410,32 @@ pub fn concurrent_throughput_shedding(
     reqs_per_conn: u32,
     response_size: usize,
 ) -> (u32, u32, ServeReport) {
-    assert!(tb.nodes.len() >= 2, "need a server node and a client node");
     let sim = Sim::new();
     let api = Arc::clone(&tb.nodes[0].api);
     let backlog = n_conns as usize + 8;
     let report = Arc::new(Mutex::new(ServeReport::default()));
-    {
-        let report = Arc::clone(&report);
-        sim.spawn("http-shedding-loop", move |ctx| {
-            let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-            let policy = OverloadPolicy {
-                max_conns: Some(max_conns),
-                shed_response: vec![SHED_BYTE],
-                ..OverloadPolicy::default()
-            };
-            let r = serve_event_loop_with(
-                ctx,
-                api.as_ref(),
-                l.as_ref(),
-                n_conns,
-                &[HELLO_BYTE],
-                &policy,
-                |inbuf, out| {
-                    while inbuf.len() >= REQUEST_SIZE {
-                        let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
-                        inbuf.drain(..REQUEST_SIZE);
-                        out.extend_from_slice(&response_body(cid, rid, response_size));
-                    }
-                },
-            )?;
-            *report.lock() = r;
-            l.close(ctx)?;
-            Ok(())
-        });
-    }
-    let tally = Arc::new(Mutex::new((0u32, 0u32))); // (served, shed)
-    for k in 0..n_conns {
-        let node = 1 + (k as usize % (tb.nodes.len() - 1));
-        let api = Arc::clone(&tb.nodes[node].api);
-        let server_host = tb.nodes[0].api.local_host();
-        let tally = Arc::clone(&tally);
-        sim.spawn(format!("http-shed-client-{k}"), move |ctx| {
-            let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
-            let first = conn.read_exact(ctx, 1)?.expect("greeting");
-            match first {
-                Some(b) if b[0] == HELLO_BYTE => {
-                    for r in 0..reqs_per_conn {
-                        conn.write(ctx, &encode_request(k, r))?.expect("request");
-                        let body = conn
-                            .read_exact(ctx, response_size)?
-                            .expect("response")
-                            .expect("body");
-                        for (j, &byte) in body.iter().enumerate() {
-                            assert_eq!(byte, body_byte(k, r, j), "conn {k} req {r} byte {j}");
-                        }
-                    }
-                    tally.lock().0 += 1;
-                }
-                // SHED_BYTE or bare EOF: the deterministic degrade.
-                _ => tally.lock().1 += 1,
-            }
-            let _ = conn.close(ctx);
-            Ok(())
-        });
-    }
-    sim.run_until(SimTime::from_secs(600));
-    let (served, shed) = *tally.lock();
-    assert_eq!(served + shed, n_conns, "every client gets a typed answer");
+    let server_report = Arc::clone(&report);
+    sim.spawn("http-shedding-loop", move |ctx| {
+        let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
+        let policy = OverloadPolicy {
+            max_conns: Some(max_conns),
+            shed_response: vec![SHED_BYTE],
+            ..OverloadPolicy::default()
+        };
+        *server_report.lock() = serve_event_loop(
+            ctx,
+            api.as_ref(),
+            l.as_ref(),
+            n_conns,
+            &[HELLO_BYTE],
+            &policy,
+            service(response_size),
+        )?;
+        l.close(ctx)
+    });
+    let tally = run_clients(&sim, tb, n_conns, reqs_per_conn, response_size);
     let report = *report.lock();
-    (served, shed, report)
+    (tally.finished, tally.shed, report)
 }
 
 #[cfg(test)]

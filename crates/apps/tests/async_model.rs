@@ -20,7 +20,8 @@ use std::sync::Arc;
 use std::task::Poll;
 
 use emp_apps::kvstore;
-use emp_apps::webserver::{concurrent_throughput, ServerModel};
+use emp_apps::webserver::concurrent_throughput;
+use emp_apps::ServerModel;
 use emp_apps::{AsyncRing, AsyncStream, Interest, NetError, RingConfig, Testbed};
 use parking_lot::Mutex;
 use simnet::{Sim, SimAccess, SimAccessExt, SimDuration, SimResult};

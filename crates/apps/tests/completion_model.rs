@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 use emp_apps::completion::{serve_completion, CompletionRun};
 use emp_apps::kvstore;
-use emp_apps::webserver::{concurrent_throughput, ServerModel};
+use emp_apps::webserver::concurrent_throughput;
+use emp_apps::ServerModel;
 use emp_apps::Testbed;
 use parking_lot::Mutex;
 use simnet::Sim;

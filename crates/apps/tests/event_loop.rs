@@ -8,7 +8,8 @@
 //! function of (connection, request, position), so a response delivered
 //! to the wrong connection, out of order, or corrupted fails the run.
 
-use emp_apps::webserver::{concurrent_throughput, ServerModel};
+use emp_apps::webserver::concurrent_throughput;
+use emp_apps::ServerModel;
 use emp_apps::Testbed;
 
 const CONNS: u32 = 32;

@@ -1,9 +1,10 @@
 //! One generator per figure of the paper's evaluation (§7). Each returns a
 //! [`Figure`] with the same series the paper plots; the `figures` binary
-//! prints them and the criterion benches time representative points.
+//! prints them.
 
 use emp_apps::{
-    bandwidth, ftp, kvstore, matmul, overload, pingpong, webserver, StormConfig, Testbed,
+    bandwidth, ftp, kvstore, matmul, overload, pingpong, webserver, ServerModel, StormConfig,
+    Testbed,
 };
 use emp_proto::EmpConfig;
 use kernel_tcp::TcpConfig;
@@ -14,11 +15,11 @@ use sockets_emp::{RecvMode, SubstrateConfig};
 use crate::raw;
 use crate::report::{parallel_sweep, Figure};
 
-/// Sweep resolution: `quick` trims the point count for smoke runs and
-/// criterion; `full` reproduces every plotted point.
+/// Sweep resolution: `quick` trims the point count for smoke runs;
+/// `full` reproduces every plotted point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Profile {
-    /// Few points, few iterations (CI / criterion).
+    /// Few points, few iterations (CI).
     Quick,
     /// The full sweeps.
     Full,
@@ -463,10 +464,10 @@ pub fn event_loop_concurrency(profile: Profile) -> Figure {
         "reqs/s",
     );
     let models = [
-        webserver::ServerModel::EventLoop,
-        webserver::ServerModel::Completion,
-        webserver::ServerModel::Async,
-        webserver::ServerModel::PerConnection,
+        ServerModel::EventLoop,
+        ServerModel::Completion,
+        ServerModel::Async,
+        ServerModel::PerConnection,
     ];
     for model in models {
         let pts = parallel_sweep(conns, |&n| {
@@ -512,9 +513,9 @@ pub fn concurrency_fairness(profile: Profile) -> Figure {
         "request us",
     );
     let models = [
-        webserver::ServerModel::Async,
-        webserver::ServerModel::EventLoop,
-        webserver::ServerModel::PerConnection,
+        ServerModel::Async,
+        ServerModel::EventLoop,
+        ServerModel::PerConnection,
     ];
     for model in models {
         let pts = parallel_sweep(conns, |&n| {

@@ -13,8 +13,8 @@
 use simnet::emp_trace::telemetry::RegistrySnapshot;
 use simnet::{Sim, SimAccess};
 
-use emp_apps::webserver::{self, ConcurrencyRun, ServerModel};
-use emp_apps::{overload, pingpong, OverloadReport, StormConfig, Testbed};
+use emp_apps::webserver::{self, ConcurrencyRun};
+use emp_apps::{overload, pingpong, OverloadReport, ServerModel, StormConfig, Testbed};
 
 /// Ping-pong message size (bytes) in the standard workload.
 pub const PINGPONG_BYTES: usize = 4;
@@ -137,19 +137,22 @@ pub fn workload_summary(run: &StatRun) -> String {
 }
 
 /// Telemetry self-check: the histograms and series the acceptance
-/// criteria name must be non-empty after the standard workload. Returns
-/// an error string naming the first missing piece.
+/// criteria name must carry real data after the standard workload.
+/// Returns an error string naming the first missing piece.
 pub fn self_check(snap: &RegistrySnapshot) -> Result<String, String> {
     let need_hists = [
         "app.rtt_ns",
         "app.eventloop_turn_ns",
-        "app.completion_turn_ns",
         "emp.msg_latency_ns",
         "core.poll_wait_ns",
+        "exec.poll_spins",
     ];
     for name in need_hists {
         match snap.histograms.get(name) {
-            Some(h) if h.count > 0 => {}
+            // All-zero samples are as vacuous as none: a histogram
+            // whose `max` is 0 measures nothing.
+            Some(h) if h.count > 0 && h.max > 0 => {}
+            Some(h) if h.count > 0 => return Err(format!("histogram {name} recorded only zeros")),
             Some(_) => return Err(format!("histogram {name} recorded nothing")),
             None => return Err(format!("histogram {name} missing")),
         }
@@ -196,16 +199,12 @@ pub fn self_check(snap: &RegistrySnapshot) -> Result<String, String> {
         return Err("overload storm tripped no admission control (refused+shed == 0)".into());
     }
     // Executor telemetry: the async webserver stage runs on the
-    // deterministic executor, so its wake counter and poll-spin
-    // histogram must have fired, and every task must have retired
-    // (`exec.tasks_live` back to zero) once the workload drained.
+    // deterministic executor, so its wake counter (and, above, its
+    // poll-spin histogram) must have fired, and every task must have
+    // retired (`exec.tasks_live` back to zero) once the workload drained.
     let wakes = snap.counters.get("exec.wakes").copied().unwrap_or(0);
     if wakes == 0 {
         return Err("exec.wakes never fired (async stage did not run?)".into());
-    }
-    match snap.histograms.get("exec.poll_spins") {
-        Some(h) if h.count > 0 => {}
-        _ => return Err("histogram exec.poll_spins recorded nothing".into()),
     }
     match snap.gauges.get("exec.tasks_live").copied() {
         Some(0) => {}
@@ -400,5 +399,24 @@ mod tests {
         assert!(rtt.quantile(0.5) <= rtt.quantile(0.99));
         assert!(rtt.quantile(0.99) <= rtt.quantile(0.999));
         assert!(rtt.quantile(0.999) <= rtt.max);
+    }
+
+    #[test]
+    fn self_check_rejects_an_all_zero_histogram() {
+        let mut snap = run_standard_workload().snapshot;
+        let reg = simnet::emp_trace::telemetry::Registry::new();
+        let zeros = reg.histogram("zeros");
+        for _ in 0..130 {
+            zeros.record(0);
+        }
+        for name in ["exec.poll_spins", "app.rtt_ns"] {
+            let mut bad = snap.clone();
+            bad.histograms
+                .insert(name.into(), reg.snapshot().histograms["zeros"].clone());
+            let err = self_check(&bad).expect_err("all-zero histogram accepted");
+            assert!(err.contains(name) && err.contains("only zeros"), "{err}");
+        }
+        snap.histograms.remove("exec.poll_spins");
+        assert!(self_check(&snap).is_err(), "missing histogram accepted");
     }
 }

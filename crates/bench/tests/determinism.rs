@@ -33,7 +33,8 @@ fn completion_model_runs_are_deterministic() {
     // The completion model's own determinism guard: two same-seed
     // ring-served webserver runs on fresh sims produce byte-identical
     // telemetry (ring depth series included) and bit-equal results.
-    use emp_apps::webserver::{self, ServerModel};
+    use emp_apps::webserver;
+    use emp_apps::ServerModel;
     use emp_apps::Testbed;
     use simnet::{Sim, SimAccess};
 

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use parking_lot::Mutex;
+use simnet::emp_trace::telemetry::Counter;
 use simnet::emp_trace::telemetry::Gauge;
-use simnet::emp_trace::Counter;
 use simnet::engine::SimShared;
 use simnet::{Completion, ProcessCtx, SimAccess, SimResult};
 

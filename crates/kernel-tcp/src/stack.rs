@@ -64,7 +64,7 @@ pub struct TcpStack {
     /// Cached `tcp.n<id>.segments_out` counter; telemetry is hooked up on
     /// the first emitted packet (the stack is built before any `Sim`
     /// exists).
-    segments_out: Mutex<Option<Arc<simnet::emp_trace::Counter>>>,
+    segments_out: Mutex<Option<Arc<simnet::emp_trace::telemetry::Counter>>>,
     self_ref: Weak<TcpStack>,
 }
 
@@ -179,7 +179,7 @@ impl TcpStack {
 
     /// First-packet telemetry hookup: the per-node outbound-segment
     /// counter plus a sampled series of established connections.
-    fn ensure_telemetry(&self, s: &dyn SimAccess) -> Arc<simnet::emp_trace::Counter> {
+    fn ensure_telemetry(&self, s: &dyn SimAccess) -> Arc<simnet::emp_trace::telemetry::Counter> {
         if let Some(c) = self.segments_out.lock().clone() {
             return c;
         }

@@ -1,4 +1,4 @@
-//! Cross-layer sim-time tracing and metrics for the EMP sockets testbed.
+//! Cross-layer sim-time tracing and telemetry for the EMP sockets testbed.
 //!
 //! The paper's argument (§7) is a *latency budget*: it explains every
 //! figure by attributing microseconds to host overhead, NIC firmware,
@@ -12,8 +12,6 @@
 //!   `SimAccess::tracer()`. Recording is compiled to a no-op unless the
 //!   `trace` cargo feature is on — gate emission sites on [`ENABLED`]
 //!   so argument construction folds away too.
-//! - [`Metrics`]: per-layer counters (every recorded event kind counts
-//!   automatically) and fixed-bucket [`Histogram`]s with a snapshot API.
 //! - [`Breakdown`]: decomposes a closed-loop exchange (e.g. a pingpong
 //!   RTT) into host / NIC-firmware / DMA / wire / substrate-copy stages
 //!   by *tiling* the interval between milestone events, so the stages
@@ -21,9 +19,9 @@
 //! - [`chrome_trace_json`]: exports a trace as Chrome trace-event JSON,
 //!   loadable in Perfetto or `chrome://tracing`; [`Breakdown::text_report`]
 //!   renders the same data as a plain-text table.
-//! - [`telemetry`]: the *always-on* observability layer — log-linear
-//!   histograms with tail quantiles, gauges, sampled time series, and the
-//!   cross-layer [`telemetry::Registry`]. Compiled unconditionally (unlike
+//! - [`telemetry`]: the *always-on* observability layer — counters,
+//!   log-linear histograms with tail quantiles, gauges, sampled time
+//!   series, and the cross-layer [`telemetry::Registry`]. Compiled unconditionally (unlike
 //!   event tracing) and cheap enough to leave on in every build.
 //!
 //! This crate deliberately depends on nothing (events store raw
@@ -33,13 +31,11 @@
 mod breakdown;
 mod chrome;
 mod event;
-mod metrics;
 pub mod telemetry;
 
 pub use breakdown::{Breakdown, Stage, STAGES};
 pub use chrome::chrome_trace_json;
 pub use event::{EventKind, TraceEvent, Tracer, NO_CONN, NO_NODE};
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 
 /// True when the `trace` cargo feature is enabled. A `const`, so
 /// `if emp_trace::ENABLED { ... }` blocks at emission sites are removed

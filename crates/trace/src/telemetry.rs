@@ -44,7 +44,35 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::metrics::Counter;
+/// A monotonically increasing counter.
+#[derive(Default)]
+pub struct Counter {
+    v: AtomicU64,
+}
+
+impl Counter {
+    /// A zeroed counter.
+    pub fn new() -> Self {
+        Counter::default()
+    }
+
+    /// Add one.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Add `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.v.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.v.load(Ordering::Relaxed)
+    }
+}
 
 /// Linear buckets below this value (exact: one bucket per integer).
 const LINEAR_MAX: u64 = 16;
@@ -796,6 +824,7 @@ mod tests {
         assert!((500..=531).contains(&p50), "p50={p50}");
         assert_eq!(s.quantile(1.0), 1000);
         assert_eq!(s.quantile(0.0), bucket_upper(bucket_index(1)));
+        assert!((s.mean() - 500.5).abs() < 1e-9);
     }
 
     #[test]
@@ -828,6 +857,9 @@ mod tests {
         assert_eq!(r.gauge("x.g").get(), 7);
         r.histogram("x.h").record(42);
         assert_eq!(r.histogram("x.h").count(), 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["x.a"], 3);
+        assert_eq!(snap.histograms["x.h"].count, 1);
     }
 
     #[test]
@@ -876,7 +908,15 @@ mod tests {
         r.sample_now(1000);
         let snap = r.snapshot();
         let table = snap.render_table();
-        for needle in ["HISTOGRAMS", "COUNTERS", "GAUGES", "SERIES", "a.h", "p999"] {
+        for needle in [
+            "HISTOGRAMS",
+            "COUNTERS",
+            "GAUGES",
+            "SERIES",
+            "a.c",
+            "a.h",
+            "p999",
+        ] {
             assert!(table.contains(needle), "table missing {needle}:\n{table}");
         }
         let prom = snap.render_prom();
